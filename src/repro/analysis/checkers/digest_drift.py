@@ -17,6 +17,9 @@ and compares it against the committed manifest
 * version bumped                     →  the manifest must be regenerated in
   the same diff (``coopckpt lint --write-digest-manifest``), so a stale
   manifest is also an error;
+* only the exclusion set changed     →  the digest payload is unchanged, so
+  no bump is due (it would needlessly invalidate every cache); the stale
+  manifest is an error until it is regenerated;
 * manifest matches extraction        →  clean.
 
 The manifest is committed next to the checker, which is what lets a code
@@ -241,9 +244,7 @@ class DigestDriftChecker(Checker):
                     f"({exc}); regenerate it with --write-digest-manifest",
                 )
             ]
-        findings: list[Finding] = []
-        drifted = recorded.fields != schema.fields or recorded.excluded != schema.excluded
-        if drifted and recorded.version == schema.version:
+        if recorded.fields != schema.fields and recorded.version == schema.version:
             added = sorted(set(schema.fields) - set(recorded.fields))
             removed = sorted(set(recorded.fields) - set(schema.fields))
             details = []
@@ -251,20 +252,20 @@ class DigestDriftChecker(Checker):
                 details.append(f"now digest-relevant: {', '.join(added)}")
             if removed:
                 details.append(f"no longer digest-relevant: {', '.join(removed)}")
-            findings.append(
+            return [
                 Finding(
                     rule="digest-drift",
                     path=config.relpath,
                     line=class_line,
                     col=0,
                     message="digest-relevant fields changed without a "
-                    f"{VERSION_NAME} bump ({'; '.join(details) or 'exclusion set changed'}); "
+                    f"{VERSION_NAME} bump ({'; '.join(details)}); "
                     f"bump {VERSION_NAME}, regenerate the golden pins and the "
                     "manifest (--write-digest-manifest) in the same commit",
                 )
-            )
-        elif recorded.version != schema.version or drifted:
-            findings.append(
+            ]
+        if recorded.version != schema.version:
+            return [
                 Finding(
                     rule="digest-drift",
                     path=digest.relpath,
@@ -275,5 +276,19 @@ class DigestDriftChecker(Checker):
                     "regenerate it with `coopckpt lint --write-digest-manifest` "
                     "in the same commit as the version bump",
                 )
-            )
-        return findings
+            ]
+        if recorded.excluded != schema.excluded:
+            return [
+                Finding(
+                    rule="digest-drift",
+                    path=digest.relpath,
+                    line=version_line,
+                    col=0,
+                    message=f"{manifest_name} is stale (records excluded fields "
+                    f"{', '.join(recorded.excluded) or 'none'}, code excludes "
+                    f"{', '.join(schema.excluded) or 'none'}); the digest-relevant "
+                    "fields are unchanged, so no version bump is due: regenerate "
+                    "it with `coopckpt lint --write-digest-manifest`",
+                )
+            ]
+        return []

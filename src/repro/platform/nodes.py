@@ -9,24 +9,21 @@ Allocation hands out the lowest-numbered free nodes.  The model does not
 capture network topology, so the identity of the nodes only matters for
 failure targeting; first-fit over node ids is sufficient and deterministic.
 
-Two implementations share this contract:
-
-* :class:`NodePool` — the pure-Python reference (sorted free list + set +
-  per-node owner dict), selected by the ``"python"`` simulator kernel;
-* :class:`ArrayNodePool` — a numpy boolean-mask pool whose allocate/release
-  are vectorised, selected by the ``"numpy"`` kernel.  On platform-sized
-  pools (thousands of nodes) the reference's O(nodes) list scan per
-  allocation dominates a simulation's wall-clock; the mask pool removes it
-  while handing out the exact same node ids.
+Free nodes are held as sorted, disjoint, half-open runs ``[start, end)``,
+and each owner's nodes as runs in allocation order.  On a platform-sized
+pool (thousands of nodes, a few dozen jobs) allocation and release then
+touch a handful of runs instead of one Python object per node.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_left, bisect_right
 
 from repro.errors import SchedulingError
 
-__all__ = ["ArrayNodePool", "NodePool"]
+__all__ = ["NodePool"]
+
+Run = tuple[int, int]
 
 
 class NodePool:
@@ -36,11 +33,18 @@ class NodePool:
         if num_nodes <= 0:
             raise SchedulingError("num_nodes must be positive")
         self._num_nodes = num_nodes
-        # Sorted container of free node ids.  A sorted list plus set gives
-        # O(q) allocation of the q lowest free ids and O(1) membership tests.
-        self._free: list[int] = list(range(num_nodes))
-        self._free_set: set[int] = set(self._free)
-        self._owner: dict[int, object] = {}
+        self._num_free = num_nodes
+        # Free runs as two parallel sorted lists (starts for bisect).
+        self._starts: list[int] = [0]
+        self._ends: list[int] = [num_nodes]
+        # Every id as one shared int object: returned id lists are slices of
+        # it, so the lists jobs keep do not each hold fresh int objects.
+        self._ids = list(range(num_nodes))
+        self._owner: list[object | None] = [None] * num_nodes
+        # id(owner) -> (owner, owned runs in allocation order).  The tuple
+        # keeps a strong reference to the owner so its id() stays unique for
+        # the lifetime of the allocation.
+        self._owned: dict[int, tuple[object, list[Run]]] = {}
 
     # ------------------------------------------------------------ queries
     @property
@@ -51,12 +55,12 @@ class NodePool:
     @property
     def num_free(self) -> int:
         """Number of currently unallocated nodes."""
-        return len(self._free_set)
+        return self._num_free
 
     @property
     def num_allocated(self) -> int:
         """Number of currently allocated nodes."""
-        return self._num_nodes - len(self._free_set)
+        return self._num_nodes - self._num_free
 
     @property
     def utilization(self) -> float:
@@ -66,15 +70,16 @@ class NodePool:
     def owner_of(self, node_id: int) -> object | None:
         """The job owning ``node_id``, or ``None`` if the node is free."""
         self._check_node(node_id)
-        return self._owner.get(node_id)
+        return self._owner[node_id]
 
     def nodes_of(self, owner: object) -> list[int]:
-        """All node ids currently owned by ``owner`` (possibly empty)."""
-        return [n for n, o in self._owner.items() if o is owner]
+        """All node ids currently owned by ``owner``, in allocation order."""
+        entry = self._owned.get(id(owner))
+        return self._ids_of(entry[1]) if entry is not None else []
 
     def can_allocate(self, count: int) -> bool:
         """True when ``count`` nodes are currently free."""
-        return 0 < count <= self.num_free
+        return 0 < count <= self._num_free
 
     # ------------------------------------------------------------ mutation
     def allocate(self, count: int, owner: object) -> list[int]:
@@ -87,42 +92,65 @@ class NodePool:
         """
         if count <= 0:
             raise SchedulingError("cannot allocate a non-positive number of nodes")
-        if count > self.num_free:
+        if count > self._num_free:
             raise SchedulingError(
-                f"cannot allocate {count} nodes: only {self.num_free} free"
+                f"cannot allocate {count} nodes: only {self._num_free} free"
             )
-        # _free is kept sorted; take the first `count` that are still free.
-        allocated: list[int] = []
-        kept: list[int] = []
-        for node in self._free:
-            if node not in self._free_set:
-                continue  # stale entry from a release/allocate cycle
-            if len(allocated) < count:
-                allocated.append(node)
-            else:
-                kept.append(node)
-        self._free = kept
-        for node in allocated:
-            self._free_set.discard(node)
-            self._owner[node] = owner
-        return allocated
+        starts, ends = self._starts, self._ends
+        taken: list[Run] = []
+        need = count
+        used = 0  # free runs consumed whole
+        while need:
+            start, end = starts[used], ends[used]
+            if end - start > need:
+                taken.append((start, start + need))
+                starts[used] = start + need
+                break
+            taken.append((start, end))
+            need -= end - start
+            used += 1
+        del starts[:used], ends[:used]
+        for start, end in taken:
+            self._owner[start:end] = [owner] * (end - start)
+        entry = self._owned.setdefault(id(owner), (owner, []))
+        entry[1].extend(taken)
+        self._num_free -= count
+        return self._ids_of(taken)
 
     def release(self, node_ids: list[int]) -> None:
-        """Return ``node_ids`` to the free pool."""
+        """Return ``node_ids`` to the free pool.
+
+        Atomic: every id is validated (in range, allocated, listed once)
+        before anything changes, so a rejected release leaves the pool as
+        it was.
+        """
+        seen: set[int] = set()
         for node in node_ids:
             self._check_node(node)
-            if node in self._free_set:
+            if node in seen:
+                raise SchedulingError(f"node {node} is listed twice")
+            if self._is_free(node):
                 raise SchedulingError(f"node {node} is already free")
-            del self._owner[node]
-            self._free_set.add(node)
-        self._free = sorted(self._free_set)
+            seen.add(node)
+        by_owner: dict[int, set[int]] = {}
+        for node in node_ids:
+            by_owner.setdefault(id(self._owner[node]), set()).add(node)
+        for key, released in by_owner.items():
+            owner, runs = self._owned[key]
+            kept = [node for node in self._ids_of(runs) if node not in released]
+            if kept:
+                self._owned[key] = (owner, _runs_of(kept))
+            else:
+                del self._owned[key]
+        self._free_runs(_runs_of(sorted(seen)))
 
     def release_owner(self, owner: object) -> list[int]:
         """Release every node owned by ``owner``; returns the released ids."""
-        nodes = self.nodes_of(owner)
-        if nodes:
-            self.release(nodes)
-        return nodes
+        entry = self._owned.pop(id(owner), None)
+        if entry is None:
+            return []
+        self._free_runs(entry[1])
+        return self._ids_of(entry[1])
 
     # ------------------------------------------------------------ helpers
     def _check_node(self, node_id: int) -> None:
@@ -131,96 +159,44 @@ class NodePool:
                 f"node id {node_id} outside the pool [0, {self._num_nodes})"
             )
 
-
-class ArrayNodePool(NodePool):
-    """Vectorised :class:`NodePool`: free nodes as a numpy boolean mask.
-
-    Behaviour (returned node ids, raised errors, release semantics) is
-    identical to the reference pool — the kernel equivalence suite holds the
-    two to the same random operation sequences — but allocation of the
-    ``q`` lowest free ids is a single ``flatnonzero`` slice and releasing a
-    whole job is two fancy-indexed stores, so cost no longer scales with
-    per-node Python objects.
-    """
-
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes <= 0:
-            raise SchedulingError("num_nodes must be positive")
-        self._num_nodes = num_nodes
-        self._free_mask = np.ones(num_nodes, dtype=bool)
-        self._owners = np.empty(num_nodes, dtype=object)  # None when free
-        # id(owner) -> (owner, sorted list of owned node ids).  The tuple
-        # keeps a strong reference to the owner so its id() stays valid for
-        # the lifetime of the allocation.
-        self._owned: dict[int, tuple[object, list[int]]] = {}
-        self._num_free = num_nodes
-
-    # ------------------------------------------------------------ queries
-    @property
-    def num_free(self) -> int:
-        return self._num_free
-
-    @property
-    def num_allocated(self) -> int:
-        return self._num_nodes - self._num_free
-
-    def owner_of(self, node_id: int) -> object | None:
-        self._check_node(node_id)
-        return self._owners[node_id]
-
-    def nodes_of(self, owner: object) -> list[int]:
-        entry = self._owned.get(id(owner))
-        return list(entry[1]) if entry is not None else []
-
-    # ------------------------------------------------------------ mutation
-    def allocate(self, count: int, owner: object) -> list[int]:
-        if count <= 0:
-            raise SchedulingError("cannot allocate a non-positive number of nodes")
-        if count > self._num_free:
-            raise SchedulingError(
-                f"cannot allocate {count} nodes: only {self._num_free} free"
-            )
-        ids = np.flatnonzero(self._free_mask)[:count]
-        self._free_mask[ids] = False
-        # A 0-d object wrapper broadcasts the owner itself into every slot,
-        # even when the owner happens to be iterable.
-        boxed = np.empty((), dtype=object)
-        boxed[()] = owner
-        self._owners[ids] = boxed
-        allocated = ids.tolist()
-        key = id(owner)
-        entry = self._owned.get(key)
-        if entry is None:
-            self._owned[key] = (owner, list(allocated))
-        else:
-            # Insertion order, matching the reference pool's owner dict.
-            self._owned[key] = (owner, entry[1] + allocated)
-        self._num_free -= count
-        return allocated
-
-    def release(self, node_ids: list[int]) -> None:
-        for node in node_ids:
-            self._check_node(node)
-            if self._free_mask[node]:
-                raise SchedulingError(f"node {node} is already free")
-            owner = self._owners[node]
-            self._owners[node] = None
-            self._free_mask[node] = True
-            self._num_free += 1
-            key = id(owner)
-            entry = self._owned.get(key)
-            if entry is not None:
-                entry[1].remove(node)
-                if not entry[1]:
-                    del self._owned[key]
-
-    def release_owner(self, owner: object) -> list[int]:
-        entry = self._owned.pop(id(owner), None)
-        if entry is None:
-            return []
-        ids = entry[1]
-        arr = np.asarray(ids, dtype=np.intp)
-        self._free_mask[arr] = True
-        self._owners[arr] = None
-        self._num_free += len(ids)
+    def _ids_of(self, runs: list[Run]) -> list[int]:
+        """The node ids of ``runs``, in order."""
+        ids: list[int] = []
+        for start, end in runs:
+            ids += self._ids[start:end]
         return ids
+
+    def _is_free(self, node_id: int) -> bool:
+        index = bisect_right(self._starts, node_id) - 1
+        return index >= 0 and node_id < self._ends[index]
+
+    def _free_runs(self, runs: list[Run]) -> None:
+        """Clear the owners of ``runs`` and merge them into the free runs."""
+        starts, ends = self._starts, self._ends
+        for start, end in runs:
+            self._owner[start:end] = [None] * (end - start)
+            self._num_free += end - start
+            index = bisect_left(starts, start)
+            joins_left = index > 0 and ends[index - 1] == start
+            joins_right = index < len(starts) and starts[index] == end
+            if joins_left and joins_right:
+                ends[index - 1] = ends[index]
+                del starts[index], ends[index]
+            elif joins_left:
+                ends[index - 1] = end
+            elif joins_right:
+                starts[index] = start
+            else:
+                starts.insert(index, start)
+                ends.insert(index, end)
+
+
+def _runs_of(nodes: list[int]) -> list[Run]:
+    """Runs of consecutive ascending ids in ``nodes``, keeping their order."""
+    runs: list[Run] = []
+    for node in nodes:
+        if runs and runs[-1][1] == node:
+            runs[-1] = (runs[-1][0], node + 1)
+        else:
+            runs.append((node, node + 1))
+    return runs

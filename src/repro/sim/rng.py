@@ -56,7 +56,7 @@ class RandomStreams:
         """A fresh, independent family rooted at the same entropy.
 
         Every stream of the clone starts from its initial state, so two
-        consumers (e.g. two simulator kernels being checked for equivalence)
+        consumers (e.g. two simulations being checked for equivalence)
         can each draw the *same* random sequence without sharing generator
         state.  Works for ``seed=None`` families too, via the resolved
         entropy.

@@ -438,6 +438,25 @@ class TestDigestDrift:
         assert len(findings) == 1
         assert "stale" in findings[0].message
 
+    def test_exclusion_only_change_asks_for_regeneration_not_a_bump(self, tmp_path):
+        # Dropping an excluded field together with its exclusion leaves the
+        # digest payload unchanged: the manifest is stale, no bump is due.
+        checker = self._checker(tmp_path)
+        schema, _ = extract_digest_schema(
+            self._project(
+                tmp_path,
+                config=_CONFIG + "    kernel: str = ''\n",
+                digest=_DIGEST.replace('{"seed"}', '{"seed", "kernel"}'),
+            )
+        )
+        write_manifest(schema, checker.manifest_path)
+        findings = list(checker.check(self._project(tmp_path)))
+        assert len(findings) == 1
+        message = findings[0].message
+        assert "stale" in message and "no version bump is due" in message
+        assert "without a DIGEST_VERSION bump" not in message
+        assert findings[0].path.endswith("digest.py")
+
     def test_missing_manifest_fires(self, tmp_path):
         checker = self._checker(tmp_path)
         findings = list(checker.check(self._project(tmp_path)))
