@@ -22,7 +22,8 @@ import time
 import pytest
 
 from repro.exec import ParallelRunner
-from repro.experiments.runner import ExperimentCell, run_cell
+from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.spec import Scenario
 from repro.workloads.apex import apex_workload
 from repro.workloads.cielo import cielo_platform
 
@@ -30,13 +31,14 @@ from repro.workloads.cielo import cielo_platform
 WORKERS = 4
 
 
-def _figure1_cell(num_runs: int) -> ExperimentCell:
+def _figure1_cell(num_runs: int) -> Scenario:
     """One Figure-1 cell: Cielo at 80 GB/s, 2-year node MTBF, Least-Waste."""
     platform = cielo_platform(bandwidth_gbs=80.0, node_mtbf_years=2.0)
-    return ExperimentCell(
+    return Scenario(
+        name="figure1-cell",
         platform=platform,
         workload=tuple(apex_workload(platform)),
-        strategy="least-waste",
+        strategies=("least-waste",),
         horizon_days=6.0,
         warmup_days=1.0,
         cooldown_days=1.0,
@@ -50,13 +52,13 @@ def test_bench_parallel_speedup(benchmark):
     cell = _figure1_cell(num_runs=16)
 
     start = time.perf_counter()
-    serial_summary = run_cell(cell)
+    serial_summary = CampaignRunner().run_scenario(cell).summaries
     serial_s = time.perf_counter() - start
 
-    parallel_runner = ParallelRunner(backend="process", workers=WORKERS)
+    parallel_runner = CampaignRunner(ParallelRunner(backend="process", workers=WORKERS))
     parallel_summary = benchmark.pedantic(
-        run_cell, args=(cell,), kwargs={"runner": parallel_runner}, rounds=1, iterations=1
-    )
+        parallel_runner.run_scenario, args=(cell,), rounds=1, iterations=1
+    ).summaries
     parallel_s = benchmark.stats.stats.mean
 
     # Parallel dispatch must not change a single bit of the result.
@@ -78,13 +80,13 @@ def test_bench_cache_hit_throughput(benchmark, tmp_path):
     """Replaying a warmed cache touches zero simulations."""
     cell = _figure1_cell(num_runs=16)
     warm = ParallelRunner(cache_dir=tmp_path)
-    warm_summary = run_cell(cell, runner=warm)
+    warm_summary = CampaignRunner(warm).run_scenario(cell).summaries
     assert warm.stats.tasks_run == cell.num_runs
 
     cached_runner = ParallelRunner(cache_dir=tmp_path)
     cached_summary = benchmark.pedantic(
-        run_cell, args=(cell,), kwargs={"runner": cached_runner}, rounds=1, iterations=1
-    )
+        CampaignRunner(cached_runner).run_scenario, args=(cell,), rounds=1, iterations=1
+    ).summaries
     replay_s = benchmark.stats.stats.mean
 
     assert cached_summary == warm_summary

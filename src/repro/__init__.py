@@ -74,7 +74,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.results import SimulationResult, WasteBreakdown
 from repro.simulation.simulator import Simulation, run_simulation
 from repro.stats.summary import DistributionSummary, summarize
-from repro.stats.montecarlo import derive_seeds, monte_carlo
+from repro.stats.montecarlo import derive_seeds
 from repro.exec.cache import ResultCache
 from repro.exec.digest import config_digest
 from repro.exec.runner import ParallelRunner
@@ -145,7 +145,6 @@ __all__ = [
     # stats
     "DistributionSummary",
     "summarize",
-    "monte_carlo",
     "derive_seeds",
     # parallel execution
     "ParallelRunner",

@@ -14,7 +14,6 @@ waits for the I/O token) are expressed with the same machinery.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.apps.app_class import ApplicationClass
@@ -23,12 +22,13 @@ from repro.errors import SimulationError
 
 __all__ = ["Job"]
 
-_job_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(eq=False)
 class Job:
     """One schedulable job.
+
+    Jobs compare by identity: two jobs are the same job only if they are
+    the same object, whatever their parameters.
 
     Attributes
     ----------
@@ -49,6 +49,12 @@ class Job:
         True when this job is the resubmission of a failed job.
     parent_id:
         Id of the original failed job (for restarts), else ``None``.
+    job_id:
+        Number of the job within its simulation run.  A
+        :class:`~repro.simulation.simulator.Simulation` numbers its jobs
+        1, 2, ... in creation order (the initial jobs, then the restarts),
+        so ids never depend on what ran earlier in the process; ``0`` until
+        then.
     """
 
     app_class: ApplicationClass
@@ -58,7 +64,7 @@ class Job:
     input_bytes: float | None = None
     is_restart: bool = False
     parent_id: int | None = None
-    job_id: int = field(default_factory=lambda: next(_job_ids))
+    job_id: int = 0
 
     # --- mutable execution state (managed by the simulator) ---
     state: JobState = JobState.PENDING

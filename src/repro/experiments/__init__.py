@@ -9,12 +9,19 @@
   Cielo under constrained bandwidth.
 * :mod:`repro.experiments.figure3` — Figure 3, minimum bandwidth required to
   reach 80 % efficiency on the prospective system.
-* :mod:`repro.experiments.runner` — shared sweep machinery (one cell = one
-  strategy on one platform variant, repeated over Monte-Carlo seeds).
-* :mod:`repro.experiments.report` — plain-text table rendering of results.
+* :mod:`repro.experiments.ablation` — the fixed-period and interference-model
+  ablations.
+* :mod:`repro.experiments.report` — :class:`SweepResult`, the Figure 1/2
+  view of a one-axis campaign, and its plain-text table rendering.
+
+Every figure and ablation is a :class:`~repro.scenarios.campaign.Campaign`
+(or, for the Figure 3 bisection probes, a single
+:class:`~repro.scenarios.spec.Scenario`) evaluated by
+:class:`~repro.scenarios.runner.CampaignRunner`: one strategy on one
+platform variant, repeated over Monte-Carlo seeds.
 """
 
-from repro.experiments.runner import ExperimentCell, SweepResult, run_cell, run_sweep
+from repro.experiments.report import SweepResult
 from repro.experiments.table1 import table1_rows, render_table1
 from repro.experiments.theory import steady_state_classes, theoretical_waste
 from repro.experiments.figure1 import Figure1Config, render_figure1, run_figure1
@@ -37,10 +44,7 @@ from repro.experiments.export import (
 from repro.experiments.plotting import ascii_chart, sweep_chart
 
 __all__ = [
-    "ExperimentCell",
     "SweepResult",
-    "run_cell",
-    "run_sweep",
     "table1_rows",
     "render_table1",
     "steady_state_classes",

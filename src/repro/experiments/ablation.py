@@ -19,16 +19,18 @@ from collections.abc import Sequence
 from repro.apps.app_class import ApplicationClass
 from repro.errors import ConfigurationError
 from repro.exec.runner import ParallelRunner
+from repro.iosched.registry import parse_strategy
 from repro.platform.interference import (
     DegradingInterference,
     InterferenceModel,
     LinearInterference,
 )
 from repro.platform.spec import PlatformSpec
-from repro.simulation.config import SimulationConfig
-from repro.stats.montecarlo import derive_seeds
-from repro.stats.summary import DistributionSummary, summarize
-from repro.units import DAY, HOUR
+from repro.scenarios.campaign import Axis, AxisPoint, Campaign
+from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.spec import Scenario
+from repro.stats.summary import DistributionSummary
+from repro.units import HOUR
 
 __all__ = [
     "AblationCell",
@@ -46,33 +48,38 @@ class AblationCell:
     waste: DistributionSummary
 
 
-def _run_cells(
+def _run_study(
     platform: PlatformSpec,
     workload: Sequence[ApplicationClass],
     strategy: str,
+    axis: Axis,
     *,
     horizon_days: float,
     num_runs: int,
     base_seed: int,
-    fixed_period_s: float = HOUR,
-    interference: InterferenceModel | None = None,
-    runner: ParallelRunner | None = None,
-) -> DistributionSummary:
-    if runner is None:
-        runner = ParallelRunner()
-    config = SimulationConfig(
+    runner: ParallelRunner | None,
+) -> list[AblationCell]:
+    """Run ``strategy`` at every point of ``axis``; each point names its row."""
+    edge_days = min(1.0, horizon_days / 4.0)
+    base = Scenario(
+        name=axis.name,
         platform=platform,
-        classes=tuple(workload),
-        strategy=strategy,
-        horizon_s=horizon_days * DAY,
-        warmup_s=min(1.0, horizon_days / 4.0) * DAY,
-        cooldown_s=min(1.0, horizon_days / 4.0) * DAY,
-        seed=0,
-        fixed_period_s=fixed_period_s,
-        interference=interference,
+        workload=tuple(workload),
+        strategies=(strategy,),
+        num_runs=num_runs,
+        base_seed=base_seed,
+        horizon_days=horizon_days,
+        warmup_days=edge_days,
+        cooldown_days=edge_days,
     )
-    values = runner.run_config(config, derive_seeds(base_seed, num_runs))
-    return summarize(values)
+    result = CampaignRunner(runner or ParallelRunner()).run(
+        Campaign(name=f"{axis.name} ablation", base=base, axes=(axis,))
+    )
+    (column,) = result.strategies
+    return [
+        AblationCell(label=outcome.scenario.name, waste=outcome.summaries[column])
+        for outcome in result.outcomes
+    ]
 
 
 def fixed_period_ablation(
@@ -90,26 +97,37 @@ def fixed_period_ablation(
 
     The paper's Fixed variants always use one hour; this ablation shows how
     much of their loss is attributable to that specific choice rather than
-    to the fixed-period policy itself.
+    to the fixed-period policy itself.  ``strategy`` must use the fixed
+    policy and leave its period to the sweep.
     """
-    if not periods_hours:
-        raise ConfigurationError("periods_hours must not be empty")
-    if "fixed" not in strategy:
+    spec = parse_strategy(strategy)
+    if spec.get("policy") != "fixed":
         raise ConfigurationError("fixed_period_ablation only applies to *-fixed strategies")
-    cells = []
-    for hours in periods_hours:
-        summary = _run_cells(
-            platform,
-            workload,
-            strategy,
-            horizon_days=horizon_days,
-            num_runs=num_runs,
-            base_seed=base_seed,
-            fixed_period_s=hours * HOUR,
-            runner=runner,
+    if "period_s" in dict(spec.params):
+        raise ConfigurationError(
+            f"strategy {strategy!r} pins its own period_s, but fixed_period_ablation "
+            "sweeps the period; drop period_s from the spec"
         )
-        cells.append(AblationCell(label=f"{strategy}, P = {hours:g} h", waste=summary))
-    return cells
+    axis = Axis(
+        name="periods_hours",
+        points=tuple(
+            AxisPoint(
+                label=f"{hours:g}",
+                overrides={"fixed_period_s": hours * HOUR, "name": f"{strategy}, P = {hours:g} h"},
+            )
+            for hours in periods_hours
+        ),
+    )
+    return _run_study(
+        platform,
+        workload,
+        strategy,
+        axis,
+        horizon_days=horizon_days,
+        num_runs=num_runs,
+        base_seed=base_seed,
+        runner=runner,
+    )
 
 
 def interference_model_ablation(
@@ -130,9 +148,7 @@ def interference_model_ablation(
     strategies (whose transfers always overlap) far more than the token-based
     ones (which never overlap).
     """
-    if not alphas:
-        raise ConfigurationError("alphas must not be empty")
-    cells = []
+    points = []
     for alpha in alphas:
         model: InterferenceModel
         if alpha == 0.0:
@@ -141,18 +157,19 @@ def interference_model_ablation(
         else:
             model = DegradingInterference(alpha=alpha)
             label = f"{strategy}, degrading interference (alpha={alpha:g})"
-        summary = _run_cells(
-            platform,
-            workload,
-            strategy,
-            horizon_days=horizon_days,
-            num_runs=num_runs,
-            base_seed=base_seed,
-            interference=model,
-            runner=runner,
+        points.append(
+            AxisPoint(label=f"{alpha:g}", overrides={"interference": model, "name": label})
         )
-        cells.append(AblationCell(label=label, waste=summary))
-    return cells
+    return _run_study(
+        platform,
+        workload,
+        strategy,
+        Axis(name="alphas", points=tuple(points)),
+        horizon_days=horizon_days,
+        num_runs=num_runs,
+        base_seed=base_seed,
+        runner=runner,
+    )
 
 
 def render_ablation(title: str, cells: Sequence[AblationCell]) -> str:

@@ -2,7 +2,7 @@
 
 The paper's figures are plots; this module serialises the reproduced series
 so they can be re-plotted with any external tool.  Two exporters are
-provided: one for :class:`~repro.experiments.runner.SweepResult` (Figures 1
+provided: one for :class:`~repro.experiments.report.SweepResult` (Figures 1
 and 2), one for :class:`~repro.experiments.figure3.Figure3Result`.
 """
 
@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from repro.experiments.figure3 import Figure3Result
-from repro.experiments.runner import SweepResult
+from repro.experiments.report import SweepResult
 
 __all__ = [
     "sweep_to_rows",

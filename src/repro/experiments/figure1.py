@@ -19,15 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.exec.runner import ParallelRunner
-from repro.experiments.report import render_sweep
-from repro.experiments.runner import SweepResult, run_sweep
+from repro.experiments.report import SweepResult, render_sweep
 from repro.iosched.registry import STRATEGIES
+from repro.scenarios.campaign import Axis, AxisPoint, Campaign
+from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.spec import Scenario
 from repro.workloads.apex import apex_workload
 from repro.workloads.cielo import cielo_platform
 
-__all__ = ["Figure1Config", "run_figure1", "render_figure1"]
+if TYPE_CHECKING:  # pragma: no cover - figure2 imports this module
+    from repro.experiments.figure2 import Figure2Config
+
+__all__ = ["Figure1Config", "run_cielo_sweep", "run_figure1", "render_figure1"]
 
 #: Bandwidth axis of the paper's Figure 1 (GB/s).
 PAPER_BANDWIDTHS_GBS: tuple[float, ...] = (40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0)
@@ -52,6 +58,48 @@ class Figure1Config:
     field_label: str = field(default="System Aggregated Bandwidth (GB/s)", repr=False)
 
 
+def run_cielo_sweep(
+    config: Figure1Config | Figure2Config,
+    runner: ParallelRunner | None,
+    *,
+    key: str,
+    values: Sequence[float],
+    **fixed: float,
+) -> SweepResult:
+    """Evaluate every strategy of ``config`` on Cielo/APEX at each ``key`` value.
+
+    The sweep is a one-axis campaign.  Its base scenario is Cielo at the
+    first axis value (``fixed`` sets the other :func:`cielo_platform`
+    parameter); each axis point sets ``key`` and rebuilds the APEX workload
+    against the overridden platform, whose I/O volumes depend on its memory.
+    """
+    axis = Axis(
+        name=key,
+        points=tuple(
+            AxisPoint(label=f"{value:g}", overrides={key: value, "workload": apex_workload})
+            for value in values
+        ),
+    )
+    platform = cielo_platform(**fixed, **{key: values[0]})
+    base = Scenario(
+        name=key,
+        platform=platform,
+        workload=apex_workload(platform),
+        strategies=config.strategies,
+        num_runs=config.num_runs,
+        base_seed=config.base_seed,
+        horizon_days=config.horizon_days,
+        warmup_days=config.warmup_days,
+        cooldown_days=config.cooldown_days,
+    )
+    result = CampaignRunner(runner or ParallelRunner()).run(
+        Campaign(name=f"{key} sweep", base=base, axes=(axis,))
+    )
+    return SweepResult.from_campaign(
+        result, parameter_name=config.field_label, parameter_values=values
+    )
+
+
 def run_figure1(
     config: Figure1Config | None = None, runner: ParallelRunner | None = None
 ) -> SweepResult:
@@ -61,20 +109,12 @@ def run_figure1(
     repetitions (see :mod:`repro.exec`); results are backend-independent.
     """
     config = config or Figure1Config()
-    return run_sweep(
-        parameter_name=config.field_label,
-        parameter_values=config.bandwidths_gbs,
-        platform_for=lambda bw: cielo_platform(
-            bandwidth_gbs=bw, node_mtbf_years=config.node_mtbf_years
-        ),
-        workload_for=lambda platform: apex_workload(platform),
-        strategies=config.strategies,
-        horizon_days=config.horizon_days,
-        warmup_days=config.warmup_days,
-        cooldown_days=config.cooldown_days,
-        num_runs=config.num_runs,
-        base_seed=config.base_seed,
-        runner=runner,
+    return run_cielo_sweep(
+        config,
+        runner,
+        key="bandwidth_gbs",
+        values=config.bandwidths_gbs,
+        node_mtbf_years=config.node_mtbf_years,
     )
 
 
@@ -82,13 +122,3 @@ def render_figure1(result: SweepResult) -> str:
     """Plain-text rendering of the Figure 1 data (one row per bandwidth)."""
     title = "Figure 1: waste ratio vs. system bandwidth (Cielo, LANL APEX workload)"
     return render_sweep(result, title=title, value_format="{:.0f}")
-
-
-def figure1_series(config: Figure1Config | None = None) -> dict[str, Sequence[float]]:
-    """Convenience: mean waste-ratio series keyed by strategy (plus theory)."""
-    result = run_figure1(config)
-    series: dict[str, Sequence[float]] = {
-        strategy: result.series(strategy) for strategy in result.strategies
-    }
-    series["theoretical-model"] = list(result.theory)
-    return series

@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exec.runner import ParallelRunner
-from repro.experiments.report import render_sweep
-from repro.experiments.runner import SweepResult, run_sweep
+from repro.experiments.figure1 import run_cielo_sweep
+from repro.experiments.report import SweepResult, render_sweep
 from repro.iosched.registry import STRATEGIES
-from repro.workloads.apex import apex_workload
-from repro.workloads.cielo import cielo_platform
 
 __all__ = ["Figure2Config", "run_figure2", "render_figure2"]
 
@@ -53,20 +51,12 @@ def run_figure2(
     repetitions (see :mod:`repro.exec`); results are backend-independent.
     """
     config = config or Figure2Config()
-    return run_sweep(
-        parameter_name=config.field_label,
-        parameter_values=config.node_mtbf_years,
-        platform_for=lambda mtbf: cielo_platform(
-            bandwidth_gbs=config.bandwidth_gbs, node_mtbf_years=mtbf
-        ),
-        workload_for=lambda platform: apex_workload(platform),
-        strategies=config.strategies,
-        horizon_days=config.horizon_days,
-        warmup_days=config.warmup_days,
-        cooldown_days=config.cooldown_days,
-        num_runs=config.num_runs,
-        base_seed=config.base_seed,
-        runner=runner,
+    return run_cielo_sweep(
+        config,
+        runner,
+        key="node_mtbf_years",
+        values=config.node_mtbf_years,
+        bandwidth_gbs=config.bandwidth_gbs,
     )
 
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.exec.runner import ParallelRunner
-from repro.experiments.runner import ExperimentCell, run_cell
 from repro.experiments.theory import theoretical_waste
 from repro.iosched.registry import STRATEGIES
-from repro.units import TB
+from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.spec import Scenario
 from repro.workloads.prospective import prospective_platform, prospective_workload
 
 __all__ = ["Figure3Config", "Figure3Result", "run_figure3", "render_figure3"]
@@ -100,21 +100,22 @@ def _simulated_waste(
     bandwidth_tbs: float,
     mtbf_years: float,
     config: Figure3Config,
-    runner: ParallelRunner | None = None,
+    runner: CampaignRunner,
 ) -> float:
     platform = prospective_platform(bandwidth_tbs=bandwidth_tbs, node_mtbf_years=mtbf_years)
-    workload = tuple(prospective_workload(platform))
-    cell = ExperimentCell(
+    scenario = Scenario(
+        name=f"{bandwidth_tbs:g} TB/s, {mtbf_years:g} y",
         platform=platform,
-        workload=workload,
-        strategy=strategy,
+        workload=prospective_workload(platform),
+        strategies=(strategy,),
+        num_runs=config.num_runs,
+        base_seed=config.base_seed,
         horizon_days=config.horizon_days,
         warmup_days=config.warmup_days,
         cooldown_days=config.cooldown_days,
-        num_runs=config.num_runs,
-        base_seed=config.base_seed,
     )
-    return run_cell(cell, runner=runner).mean
+    (summary,) = runner.run_scenario(scenario).summaries.values()
+    return summary.mean
 
 
 def _theory_waste(bandwidth_tbs: float, mtbf_years: float) -> float:
@@ -164,6 +165,7 @@ def run_figure3(
     ``strategies`` replays the unchanged cells from disk.
     """
     config = config or Figure3Config()
+    campaigns = CampaignRunner(runner or ParallelRunner())
     target = config.target_waste_ratio
     result = Figure3Result(
         node_mtbf_years=list(config.node_mtbf_years),
@@ -185,7 +187,7 @@ def run_figure3(
         for strategy in config.strategies:
             result.min_bandwidth_tbs[strategy].append(
                 _min_bandwidth(
-                    lambda bw: _simulated_waste(strategy, bw, mtbf, config, runner),
+                    lambda bw: _simulated_waste(strategy, bw, mtbf, config, campaigns),
                     target,
                     config.search_lo_tbs,
                     config.search_hi_tbs,
@@ -215,8 +217,3 @@ def render_figure3(result: Figure3Result) -> str:
         row += f"{result.theory_tbs[index]:>{width}.2f}"
         lines.append(row)
     return "\n".join(lines)
-
-
-def bandwidth_tbs_to_bytes(bandwidth_tbs: float) -> float:
-    """Convert a TB/s figure to bytes/s (kept here for symmetry with reports)."""
-    return bandwidth_tbs * TB

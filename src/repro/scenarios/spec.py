@@ -24,6 +24,7 @@ from repro.apps.app_class import ApplicationClass
 from repro.errors import ConfigurationError
 from repro.iosched.registry import STRATEGIES, StrategySpec, canonical_strategy
 from repro.platform.failures import FailureModel
+from repro.platform.interference import InterferenceModel
 from repro.platform.spec import PlatformSpec
 from repro.simulation.config import SimulationConfig
 from repro.units import DAY, GB, HOUR, YEAR
@@ -74,9 +75,16 @@ class Scenario:
         Failure inter-arrival distribution (exponential by default).
     num_runs / base_seed:
         Monte-Carlo sample size and root seed.
-    horizon_days / warmup_days / cooldown_days / fixed_period_s:
-        Simulated segment shape, as in
-        :class:`~repro.experiments.runner.ExperimentCell`.
+    horizon_days / warmup_days / cooldown_days:
+        Length of the simulated segment and of the excluded warm-up and
+        drain periods.  The paper uses 60-day segments; the defaults are
+        laptop-scale.
+    fixed_period_s:
+        Checkpoint period of the ``*-fixed`` strategy variants.
+    interference:
+        Interference model of the shared file system; ``None`` selects the
+        paper's linear, throughput-conserving model (see
+        :mod:`repro.platform.interference`).
     """
 
     name: str
@@ -90,6 +98,7 @@ class Scenario:
     warmup_days: float = 1.0
     cooldown_days: float = 1.0
     fixed_period_s: float = HOUR
+    interference: InterferenceModel | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload", tuple(self.workload))
@@ -114,6 +123,11 @@ class Scenario:
             raise ConfigurationError(f"scenario {self.name!r}: num_runs must be positive")
         if self.horizon_days <= 0.0:
             raise ConfigurationError(f"scenario {self.name!r}: horizon_days must be positive")
+        if self.interference is not None and not isinstance(self.interference, InterferenceModel):
+            raise ConfigurationError(
+                f"scenario {self.name!r}: interference must be an InterferenceModel, "
+                f"got {type(self.interference).__name__}"
+            )
 
     # ------------------------------------------------------------ configs
     def config(self, strategy: str | StrategySpec) -> SimulationConfig:
@@ -132,6 +146,7 @@ class Scenario:
             cooldown_s=self.cooldown_days * DAY,
             seed=self.base_seed,
             fixed_period_s=self.fixed_period_s,
+            interference=self.interference,
             failure_model=self.failure_model,
         )
 

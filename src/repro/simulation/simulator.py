@@ -125,6 +125,10 @@ class Simulation:
                 config.workload_spec(), self.platform, self.streams.get("workload")
             )
         self.jobs: list[Job] = jobs
+        # Jobs are numbered per run, in creation order; restarts continue
+        # the sequence (see _submit_restart).
+        for number, job in enumerate(jobs, start=1):
+            job.job_id = number
         if failure_trace is None:
             failure_trace = generate_failure_trace(
                 self.platform,
@@ -525,6 +529,7 @@ class Simulation:
             input_bytes=failed.checkpoint_bytes if has_checkpoint else failed.app_class.input_bytes,
             is_restart=True,
             parent_id=failed.job_id,
+            job_id=len(self.jobs) + self.restarts_submitted + 1,
             restart_count=failed.restart_count + 1,
         )
         self.restarts_submitted += 1

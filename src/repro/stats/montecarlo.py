@@ -1,29 +1,20 @@
-"""Monte-Carlo driver.
+"""Monte-Carlo seed derivation.
 
 Each experiment of the paper is repeated over many randomly drawn initial
-conditions (job mixes and failure traces); :func:`monte_carlo` runs a
-user-provided experiment function once per derived seed and summarises the
-resulting sample.
-
-Repetitions can be dispatched to worker processes through
-:class:`repro.exec.ParallelRunner` (``backend="process"``); because the i-th
-derived seed depends only on the base seed and ``i``, the parallel path
-returns bit-identical per-seed values and summaries.
+conditions (job mixes and failure traces).  :func:`derive_seeds` turns one
+root seed into the independent per-run seeds of such a sample; the i-th
+seed depends only on the root and ``i``, so repetitions can run in any
+order, on any execution backend, and a grown sample reuses every earlier
+run.  :class:`repro.scenarios.runner.CampaignRunner` evaluates the sample.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
-
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.stats.summary import DistributionSummary, summarize
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.exec uses us)
-    from repro.exec.runner import ParallelRunner
-
-__all__ = ["monte_carlo", "derive_seeds", "resolve_base_seed", "DerivedSeeds"]
+__all__ = ["derive_seeds", "resolve_base_seed", "DerivedSeeds"]
 
 
 class DerivedSeeds(list):
@@ -81,52 +72,3 @@ def derive_seeds(base_seed: int | None, num_runs: int) -> DerivedSeeds:
         base_entropy=entropy,
     )
     return seeds
-
-
-def monte_carlo(
-    experiment: Callable[[int], float],
-    *,
-    num_runs: int,
-    base_seed: int | None = None,
-    reduce: Callable[[list[float]], DistributionSummary] = summarize,
-    backend: str = "serial",
-    workers: int | None = None,
-    runner: "ParallelRunner | None" = None,
-) -> DistributionSummary:
-    """Run ``experiment(seed)`` for ``num_runs`` derived seeds and summarise.
-
-    Parameters
-    ----------
-    experiment:
-        Callable mapping a seed to a scalar metric (e.g. the waste ratio of
-        one simulation run).  Must be picklable (a module-level function or
-        callable instance) when the process backend is used.
-    num_runs:
-        Number of repetitions.
-    base_seed:
-        Root seed from which per-run seeds are derived.
-    reduce:
-        Reduction from the list of per-run values to a summary; defaults to
-        :func:`repro.stats.summary.summarize`.
-    backend / workers:
-        ``"serial"`` (default) keeps the historical single-process path;
-        ``"process"`` dispatches repetitions to a pool of ``workers``
-        processes.  Both return bit-identical values.
-    runner:
-        A pre-configured :class:`repro.exec.ParallelRunner`; overrides
-        ``backend``/``workers``.  Note that an attached result cache is not
-        consulted here — arbitrary experiment callables have no content
-        digest; caching applies to the config-based entry points
-        (:meth:`~repro.exec.ParallelRunner.run_config` and the experiment
-        harness built on it).
-    """
-    seeds = derive_seeds(base_seed, num_runs)
-    if runner is None and backend == "serial":
-        values = [float(experiment(seed)) for seed in seeds]
-    else:
-        if runner is None:
-            from repro.exec.runner import ParallelRunner
-
-            runner = ParallelRunner(backend=backend, workers=workers)
-        values = runner.map_seeds(experiment, seeds)
-    return reduce(values)

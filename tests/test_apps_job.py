@@ -7,7 +7,7 @@ import pytest
 from repro.apps.job import Job
 from repro.apps.phases import JobState
 from repro.errors import SimulationError
-from repro.units import HOUR
+from repro.units import DAY, HOUR
 
 
 @pytest.fixture
@@ -26,10 +26,33 @@ def test_job_inherits_class_characteristics(tiny_classes, job):
     assert not job.finished
 
 
-def test_job_ids_are_unique(tiny_classes):
+def test_jobs_compare_by_identity(tiny_classes):
     a = Job(app_class=tiny_classes[0], total_work_s=10.0)
     b = Job(app_class=tiny_classes[0], total_work_s=10.0)
-    assert a.job_id != b.job_id
+    assert a == a and a != b
+    assert b not in [a] and len({a, b}) == 2
+
+
+def test_simulation_numbers_jobs_per_run(tiny_config, tiny_platform):
+    """Ids run 1, 2, ... in creation order, initial jobs then restarts, and
+    a second run in the same process numbers from 1 again."""
+    from repro.simulation.simulator import Simulation
+    from repro.simulation.trace import TraceEventType
+
+    config = tiny_config(
+        platform=tiny_platform.with_node_mtbf(2.0 * DAY),  # failures force restarts
+        collect_trace=True,
+    )
+    for _ in range(2):
+        sim = Simulation(config)
+        count = len(sim.jobs)
+        assert [job.job_id for job in sim.jobs] == list(range(1, count + 1))
+        sim.run()
+        assert sim.trace is not None
+        restarts = [e.job_id for e in sim.trace.of_kind(TraceEventType.RESTART_SUBMITTED)]
+        assert restarts == list(range(count + 1, count + 1 + len(restarts)))
+        assert restarts
+
 
 
 def test_progress_accumulates_between_begin_and_pause(job):

@@ -124,3 +124,15 @@ def test_trace_command(capsys):
     out = capsys.readouterr().out
     assert "timeline" in out
     assert "job-start" in out
+
+
+def test_trace_output_does_not_depend_on_earlier_runs(capsys):
+    """Job ids are numbered per simulation, so a repeated run in the same
+    process prints the same job names and ids (``EAP#1``, ``job 1``)."""
+    argv = ["trace", "--horizon-days", "0.2", "--max-events", "5"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "EAP#1 " in outputs[0] and "job 1:" in outputs[0]
+    assert outputs[1] == outputs[0]

@@ -20,8 +20,10 @@ from repro.exec import (
     WasteRatioTask,
     config_digest,
 )
-from repro.experiments.runner import ExperimentCell, run_cell
-from repro.stats.montecarlo import derive_seeds, monte_carlo
+from repro.scenarios.runner import CampaignRunner
+from repro.scenarios.spec import Scenario
+from repro.stats.montecarlo import derive_seeds
+from repro.stats.summary import DistributionSummary
 
 
 def _experiment(seed: int) -> float:
@@ -29,11 +31,13 @@ def _experiment(seed: int) -> float:
     return float((seed * 2654435761) % 100_003) / 100_003.0
 
 
-def _tiny_cell(tiny_platform, tiny_classes, **overrides) -> ExperimentCell:
+def _tiny_cell(tiny_platform, tiny_classes, strategy="least-waste", **overrides) -> Scenario:
+    """One strategy on the tiny platform: a single-column scenario."""
     parameters = dict(
+        name="tiny",
         platform=tiny_platform,
         workload=tiny_classes,
-        strategy="least-waste",
+        strategies=(strategy,),
         horizon_days=0.5,
         warmup_days=0.05,
         cooldown_days=0.05,
@@ -41,7 +45,13 @@ def _tiny_cell(tiny_platform, tiny_classes, **overrides) -> ExperimentCell:
         base_seed=0,
     )
     parameters.update(overrides)
-    return ExperimentCell(**parameters)
+    return Scenario(**parameters)
+
+
+def _summary(cell: Scenario, runner: ParallelRunner | None = None) -> DistributionSummary:
+    """Waste-ratio summary of a single-strategy scenario."""
+    (summary,) = CampaignRunner(runner or ParallelRunner()).run_scenario(cell).summaries.values()
+    return summary
 
 
 # ------------------------------------------------------------- construction
@@ -91,19 +101,12 @@ def test_backend_registry_rejects_duplicates_and_accepts_new_backends():
 # -------------------------------------------- serial / process equivalence
 @pytest.mark.parametrize("num_runs", [1, 5, 12])
 @pytest.mark.parametrize("workers", [2, 4])
-def test_monte_carlo_process_backend_is_bit_identical(num_runs, workers):
-    serial = monte_carlo(_experiment, num_runs=num_runs, base_seed=7)
-    parallel = monte_carlo(
-        _experiment, num_runs=num_runs, base_seed=7, backend="process", workers=workers
-    )
-    assert serial == parallel  # exact dataclass equality, field by field
-
-
-def test_monte_carlo_runner_argument_overrides_backend():
-    runner = ParallelRunner(backend="serial")
-    summary = monte_carlo(_experiment, num_runs=4, base_seed=1, runner=runner)
-    assert summary == monte_carlo(_experiment, num_runs=4, base_seed=1)
-    assert runner.stats.tasks_run == 4
+def test_map_seeds_process_backend_is_bit_identical(num_runs, workers):
+    seeds = derive_seeds(7, num_runs)
+    serial = ParallelRunner().map_seeds(_experiment, seeds)
+    with ParallelRunner(backend="process", workers=workers) as runner:
+        parallel = runner.map_seeds(_experiment, seeds)
+    assert serial == parallel == [_experiment(seed) for seed in seeds]
 
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 5])
@@ -114,10 +117,10 @@ def test_map_seeds_chunking_preserves_seed_order(chunk_size):
     assert runner.map_seeds(_experiment, seeds) == expected
 
 
-def test_run_cell_process_backend_matches_serial(tiny_platform, tiny_classes):
+def test_run_scenario_process_backend_matches_serial(tiny_platform, tiny_classes):
     cell = _tiny_cell(tiny_platform, tiny_classes, num_runs=4)
-    serial = run_cell(cell)
-    parallel = run_cell(cell, runner=ParallelRunner(backend="process", workers=2))
+    serial = _summary(cell)
+    parallel = _summary(cell, runner=ParallelRunner(backend="process", workers=2))
     assert serial == parallel
 
 
@@ -125,12 +128,12 @@ def test_run_cell_process_backend_matches_serial(tiny_platform, tiny_classes):
 def test_cache_second_run_simulates_nothing(tiny_platform, tiny_classes, tmp_path):
     cell = _tiny_cell(tiny_platform, tiny_classes, num_runs=3)
     first = ParallelRunner(cache_dir=tmp_path)
-    a = run_cell(cell, runner=first)
+    a = _summary(cell, runner=first)
     assert first.stats.tasks_run == cell.num_runs
     assert first.stats.cache_hits == 0
 
     second = ParallelRunner(cache_dir=tmp_path)
-    b = run_cell(cell, runner=second)
+    b = _summary(cell, runner=second)
     assert a == b
     assert second.stats.tasks_run == 0  # zero simulations on the second run
     assert second.stats.cache_hits == cell.num_runs
@@ -138,22 +141,22 @@ def test_cache_second_run_simulates_nothing(tiny_platform, tiny_classes, tmp_pat
 
 def test_cache_growing_num_runs_only_simulates_new_seeds(tiny_platform, tiny_classes, tmp_path):
     small = _tiny_cell(tiny_platform, tiny_classes, num_runs=2)
-    run_cell(small, runner=ParallelRunner(cache_dir=tmp_path))
+    _summary(small, runner=ParallelRunner(cache_dir=tmp_path))
 
     grown = _tiny_cell(tiny_platform, tiny_classes, num_runs=5)
     runner = ParallelRunner(cache_dir=tmp_path)
-    summary = run_cell(grown, runner=runner)
+    summary = _summary(grown, runner=runner)
     assert runner.stats.cache_hits == 2  # prefix stability pays off
     assert runner.stats.tasks_run == 3
-    assert summary == run_cell(grown)  # identical to a fresh serial run
+    assert summary == _summary(grown)  # identical to a fresh serial run
 
 
 def test_cache_process_backend(tiny_platform, tiny_classes, tmp_path):
     cell = _tiny_cell(tiny_platform, tiny_classes, num_runs=4)
     warm = ParallelRunner(backend="process", workers=2, cache_dir=tmp_path)
-    a = run_cell(cell, runner=warm)
+    a = _summary(cell, runner=warm)
     cached = ParallelRunner(backend="process", workers=2, cache_dir=tmp_path)
-    b = run_cell(cell, runner=cached)
+    b = _summary(cell, runner=cached)
     assert a == b
     assert cached.stats.tasks_run == 0
 
@@ -163,13 +166,13 @@ def test_cache_distinguishes_strategies_and_configs(tiny_platform, tiny_classes,
     base = _tiny_cell(tiny_platform, tiny_classes, num_runs=2)
     other_strategy = _tiny_cell(tiny_platform, tiny_classes, num_runs=2, strategy="oblivious-fixed")
     other_horizon = _tiny_cell(tiny_platform, tiny_classes, num_runs=2, horizon_days=0.6)
-    run_cell(base, runner=runner)
-    run_cell(other_strategy, runner=runner)
-    run_cell(other_horizon, runner=runner)
+    _summary(base, runner=runner)
+    _summary(other_strategy, runner=runner)
+    _summary(other_horizon, runner=runner)
     # No cross-key collisions: each cell simulated its own repetitions.
     assert runner.stats.tasks_run == 6
     assert runner.stats.cache_hits == 0
-    digests = {config_digest(c.config(0)) for c in (base, other_strategy, other_horizon)}
+    digests = {config_digest(c.configs()[0]) for c in (base, other_strategy, other_horizon)}
     assert len(digests) == 3
 
 
@@ -219,17 +222,17 @@ def test_result_cache_treats_nonfinite_and_truncated_entries_as_misses(tmp_path)
 
 def test_runner_resimulates_and_rewrites_corrupt_entries(tiny_platform, tiny_classes, tmp_path):
     cell = _tiny_cell(tiny_platform, tiny_classes, num_runs=2)
-    reference = run_cell(cell, runner=ParallelRunner(cache_dir=tmp_path))
+    reference = _summary(cell, runner=ParallelRunner(cache_dir=tmp_path))
     entry = sorted(tmp_path.glob("*/*/*/*.json"))[0]
     entry.write_text('{"value": NaN}')
 
     runner = ParallelRunner(cache_dir=tmp_path)
-    assert run_cell(cell, runner=runner) == reference
+    assert _summary(cell, runner=runner) == reference
     assert runner.stats.tasks_run == 1  # only the corrupt seed re-simulated
     assert runner.stats.cache_hits == 1
 
     fresh = ParallelRunner(cache_dir=tmp_path)
-    assert run_cell(cell, runner=fresh) == reference
+    assert _summary(cell, runner=fresh) == reference
     assert fresh.stats.tasks_run == 0  # the rewrite stuck
 
 
@@ -345,14 +348,14 @@ def test_progress_events_cover_all_seeds(tiny_platform, tiny_classes, tmp_path):
     events: list[ProgressEvent] = []
     cell = _tiny_cell(tiny_platform, tiny_classes, num_runs=3)
     runner = ParallelRunner(cache_dir=tmp_path, progress=events.append)
-    run_cell(cell, runner=runner)
+    _summary(cell, runner=runner)
     assert [e.completed for e in events] == [1, 2, 3]
     assert all(e.total == 3 and e.cached == 0 for e in events)
-    assert events[0].label == "least-waste"
+    assert events[0].label == "tiny/least-waste"
 
     cached_events: list[ProgressEvent] = []
     cached_runner = ParallelRunner(cache_dir=tmp_path, progress=cached_events.append)
-    run_cell(cell, runner=cached_runner)
+    _summary(cell, runner=cached_runner)
     assert cached_events[-1].completed == 3
     assert cached_events[-1].cached == 3
 

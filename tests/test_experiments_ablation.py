@@ -37,6 +37,16 @@ def test_fixed_period_ablation_validation(tiny_platform, tiny_classes):
         fixed_period_ablation(tiny_platform, tiny_classes, periods_hours=())
     with pytest.raises(ConfigurationError):
         fixed_period_ablation(tiny_platform, tiny_classes, strategy="least-waste")
+    # A substring match is not enough: the spec must use the fixed policy...
+    with pytest.raises(ConfigurationError):
+        fixed_period_ablation(tiny_platform, tiny_classes, strategy="ordered[policy=daly]")
+    # ...and leave the period to the sweep instead of pinning its own.
+    with pytest.raises(ConfigurationError, match="sweeps the period"):
+        fixed_period_ablation(
+            tiny_platform, tiny_classes, strategy="ordered[policy=fixed,period_s=1800]"
+        )
+    with pytest.raises(ConfigurationError, match="duplicate"):
+        fixed_period_ablation(tiny_platform, tiny_classes, periods_hours=(1.0, 1.0))
 
 
 def test_interference_ablation_is_monotone_in_alpha(tiny_platform, tiny_classes):

@@ -228,6 +228,10 @@ def test_campaign_from_mapping_validates_schema():
         )
     with pytest.raises(ConfigurationError, match="'key'"):
         Campaign.from_mapping({"name": "x", "base": "smoke", "axes": [{"name": "io"}]})
+    with pytest.raises(ConfigurationError, match="interference"):
+        Campaign.from_mapping(
+            {"name": "x", "base": "smoke", "overrides": {"interference": "degrading"}}
+        )
 
 
 def test_campaign_from_file_json_round_trip(tmp_path):

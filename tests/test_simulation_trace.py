@@ -30,7 +30,8 @@ def test_recorder_basic_bookkeeping(tiny_classes):
 
 def test_checkpoint_intervals_from_recorded_events(tiny_classes):
     recorder = TraceRecorder()
-    job = Job(app_class=tiny_classes[0], total_work_s=10 * HOUR)
+    # Outside a simulation nothing numbers the jobs, so give them ids here.
+    job = Job(app_class=tiny_classes[0], total_work_s=10 * HOUR, job_id=1)
     recorder.record(0.0, job, TraceEventType.JOB_START)
     recorder.record(10.0, job, TraceEventType.INPUT_DONE)
     recorder.record(3610.0, job, TraceEventType.CHECKPOINT_DONE)
@@ -39,7 +40,7 @@ def test_checkpoint_intervals_from_recorded_events(tiny_classes):
     assert intervals == pytest.approx([3600.0, 3600.0])
     assert recorder.achieved_checkpoint_intervals() == {job.job_id: pytest.approx([3600.0, 3600.0])}
     # A job with no checkpoints contributes nothing.
-    other = Job(app_class=tiny_classes[1], total_work_s=HOUR)
+    other = Job(app_class=tiny_classes[1], total_work_s=HOUR, job_id=2)
     assert recorder.checkpoint_intervals(other.job_id) == []
 
 
